@@ -1,6 +1,6 @@
 # Verification targets mirror .github/workflows/ci.yml.
 
-.PHONY: all build test race lint check bench coverage
+.PHONY: all build test race lint check bench coverage report
 
 all: check
 
@@ -36,3 +36,10 @@ bench:
 # (FLOOR=0 to measure only). Leaves coverage.out for `go tool cover`.
 coverage:
 	./scripts/coverage.sh
+
+# report rewrites docs/report.md from a live serial run of the harness;
+# internal/report's TestReportMatchesCommitted fails until it is rerun
+# after any change that moves a reported number.
+report:
+	go run ./cmd/experiments -markdown -workers 1 > docs/report.md.tmp
+	mv docs/report.md.tmp docs/report.md
