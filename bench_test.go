@@ -70,11 +70,10 @@ func BenchmarkFig6FanMethods(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			for _, m := range []experiment.FanMethod{experiment.FanDynamic, experiment.FanStatic, experiment.FanConstant} {
-				row := r.Row(m)
-				b.ReportMetric(row.SteadyC, "degC-"+m.String())
-				b.ReportMetric(row.PeakDuty, "peakduty-"+m.String())
-				b.ReportMetric(row.StabilizeS, "settle-s-"+m.String())
+			for _, row := range r.Rows {
+				b.ReportMetric(row.SteadyC, "degC-"+row.Method)
+				b.ReportMetric(row.PeakDuty, "peakduty-"+row.Method)
+				b.ReportMetric(row.StabilizeS, "settle-s-"+row.Method)
 			}
 		}
 	}

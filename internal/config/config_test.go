@@ -29,24 +29,19 @@ func TestReadFillsDefaults(t *testing.T) {
 	if c.MaxFanDuty != 100 || c.ThresholdC != 51 || c.SampleMS != 250 {
 		t.Errorf("defaults not filled: %+v", c)
 	}
-	if c.EnableDVFS == nil || !*c.EnableDVFS {
-		t.Error("EnableDVFS default should be true")
-	}
-}
-
-func TestReadRespectsExplicitFalse(t *testing.T) {
-	c, err := Read(strings.NewReader(`{"enable_dvfs": false}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *c.EnableDVFS {
-		t.Error("explicit false overridden by default")
-	}
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	if _, err := Read(strings.NewReader(`{"p": 50}`)); err == nil {
-		t.Error("unknown field accepted (typo protection)")
+	for body, field := range map[string]string{
+		`{"p": 50}`: "p", // typo protection
+		// The former enable_dvfs knob was parsed but never read; -dvfs
+		// none (or "dvfs": "none" in a scenario) turns tDVFS off.
+		`{"enable_dvfs": false}`: "enable_dvfs",
+	} {
+		_, err := Read(strings.NewReader(body))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-field error naming %q", body, err, field)
+		}
 	}
 }
 

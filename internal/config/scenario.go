@@ -277,9 +277,11 @@ type NodeControl struct {
 	Sleep *core.Controller
 }
 
-// BuildNode wires one node's controllers from the spec. This is the
-// loop body thermctld, clustersim and the experiments driver shared by
-// copy before the scenario layer.
+// BuildNode wires one node's controllers from the spec. It is the one
+// constructor of a node control stack: Build, the daemons, the
+// experiment harness and the root package's facades all call it. The
+// tuning is normalized and then validated, so a value Build would
+// reject (say, a 150% duty cap) is rejected here too.
 func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, error) {
 	out := &NodeControl{}
 	read := core.SysfsTemp(n.FS, n.Hwmon.TempInput)
@@ -296,6 +298,9 @@ func (cs ControlSpec) BuildNode(n *node.Node, opt NodeOptions) (*NodeControl, er
 	}
 	tune := cs.Tuning
 	tune.Normalize()
+	if err := tune.Validate(); err != nil {
+		return nil, err
+	}
 
 	// Dynamic fan controller first: it may also host the sleep-state
 	// array, and it is consumed by the hybrid when tDVFS is selected.

@@ -58,6 +58,9 @@ func ablationRun(seed uint64, win window.Config) (AblationRow, error) {
 		return AblationRow{}, err
 	}
 	n.Settle(0)
+	// The one stack built outside config.ControlSpec.BuildNode: the
+	// window dimensions under test are not a Tuning field, and adding
+	// one for a sweep no deployment needs would widen every scenario.
 	cfg := core.DefaultConfig(50)
 	cfg.Window = win
 	ctl, err := core.NewController(cfg,

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"thermctl/internal/cluster"
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/faults"
 	"thermctl/internal/workload"
 )
@@ -144,10 +144,11 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 		failFor   = 30 * time.Second
 		runFor    = 90 * time.Second
 	)
-	c, err := newCluster(1, seed)
+	rig, err := newRig(1, seed, bare)
 	if err != nil {
 		return DropoutResult{}, err
 	}
+	c := rig.Cluster
 	plan := faults.Plan{
 		Name: "dropout-single",
 		Schedules: []faults.Schedule{{
@@ -159,12 +160,18 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 			}},
 		}},
 	}
+	// The hand-written plan is applied before the controllers attach,
+	// as Build does with a generated one, so the fault plane steps in
+	// the cluster's pre-controller phase.
 	if _, err := c.ApplyFaults(plan, seed); err != nil {
 		return DropoutResult{}, err
 	}
-	hybrids, err := attachHybrid(c, 50, 100, core.DefaultTDVFSConfig(50))
+	nc, err := unified(50, 100).BuildNode(c.Nodes[0], config.NodeOptions{})
 	if err != nil {
 		return DropoutResult{}, err
+	}
+	for _, ctl := range nc.Controllers {
+		c.AddNodeController(0, ctl)
 	}
 	tr := &chaosTracker{c: c}
 	c.AddController(tr)
@@ -178,7 +185,7 @@ func chaosDropout(seed uint64) (DropoutResult, error) {
 		Emergencies: c.Nodes[0].Emergencies(),
 		FinalDuty:   c.Nodes[0].Fan.Duty(),
 	}
-	for _, ev := range hybrids[0].FailSafeEvents() {
+	for _, ev := range nc.Hybrid.FailSafeEvents() {
 		if ev.Lane != "fan" {
 			continue
 		}
@@ -205,23 +212,15 @@ func chaosCampaign(seed uint64) (CampaignResult, error) {
 		planSpan = 60 * time.Second
 		runFor   = 75 * time.Second
 	)
-	c, err := newCluster(4, seed)
+	rig, err := config.Scenario{
+		Nodes: 4, Seed: seed, Workers: Workers, Control: unified(50, 100),
+		Chaos: config.ChaosSpec{Seed: seed, HorizonMS: int(planSpan / time.Millisecond)},
+	}.Build()
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	targets := make([]string, len(c.Nodes))
-	for i, n := range c.Nodes {
-		targets[i] = n.Name
-	}
-	plan := faults.Generate(seed, targets, planSpan)
-	plane, err := c.ApplyFaults(plan, seed)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	hybrids, err := attachHybrid(c, 50, 100, core.DefaultTDVFSConfig(50))
-	if err != nil {
-		return CampaignResult{}, err
-	}
+	c, plane := rig.Cluster, rig.Plane
+	plan := plane.Plan()
 	tr := &chaosTracker{c: c}
 	c.AddController(tr)
 
@@ -236,7 +235,8 @@ func chaosCampaign(seed uint64) (CampaignResult, error) {
 	for _, sch := range plan.Schedules {
 		r.Episodes += len(sch.Episodes)
 	}
-	for _, h := range hybrids {
+	for _, nc := range rig.Nodes {
+		h := nc.Hybrid
 		for _, ev := range h.FailSafeEvents() {
 			if !ev.Engaged {
 				continue

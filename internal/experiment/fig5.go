@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
 	"thermctl/internal/trace"
@@ -46,12 +46,8 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 		return Fig5Row{}, err
 	}
 	n.Settle(0)
-	ctl, err := core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)},
-	)
+	nc, err := config.ControlSpec{Fan: "dynamic", DVFS: "none",
+		Tuning: config.Config{Pp: pp}}.BuildNode(n, config.NodeOptions{})
 	if err != nil {
 		return Fig5Row{}, err
 	}
@@ -68,7 +64,7 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 	total := 5 * time.Minute
 	for n.Elapsed() < total {
 		n.Step(dt)
-		ctl.OnStep(n.Elapsed())
+		nc.Fan.OnStep(n.Elapsed())
 		row.Temp.Add(n.Elapsed(), n.Sensor.Read())
 		row.Duty.Add(n.Elapsed(), n.Fan.Duty())
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -29,13 +30,12 @@ type Fig7Result struct {
 func Fig7(seed uint64) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, cap := range []float64{25, 50, 75, 100} {
-		c, err := newCluster(4, seed)
+		rig, err := newRig(4, seed, config.ControlSpec{Fan: "dynamic", DVFS: "none",
+			Tuning: config.Config{Pp: 50, MaxFanDuty: cap}})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := attachFanControl(c, FanDynamic, 50, cap); err != nil {
-			return nil, err
-		}
+		c := rig.Cluster
 		p := newProbe(c, 250*time.Millisecond)
 		run := c.RunProgram(workload.BTB4(), 0)
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -29,17 +29,13 @@ type Fig8Result struct {
 // Fig8 runs the experiment: threshold 51 °C, Pp=50, static fan capped
 // at 25% duty.
 func Fig8(seed uint64) (*Fig8Result, error) {
-	c, err := newCluster(4, seed)
+	rig, err := newRig(4, seed, config.ControlSpec{Fan: "static", DVFS: "tdvfs",
+		Tuning: config.Config{Pp: 50, MaxFanDuty: 25}})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := attachFanControl(c, FanStatic, 50, 25); err != nil {
-		return nil, err
-	}
-	daemons, err := attachTDVFS(c, core.DefaultTDVFSConfig(50))
-	if err != nil {
-		return nil, err
-	}
+	c := rig.Cluster
+	d := rig.Nodes[0].TDVFS
 	p := newProbe(c, 250*time.Millisecond)
 
 	run := c.RunProgram(workload.LUB4(), 0)
@@ -53,8 +49,8 @@ func Fig8(seed uint64) (*Fig8Result, error) {
 	return &Fig8Result{
 		Temp:       temp,
 		Freq:       freq,
-		Downscales: daemons[0].Downscales(),
-		Upscales:   daemons[0].Upscales(),
+		Downscales: d.Downscales(),
+		Upscales:   d.Upscales(),
 		MinFreqGHz: freq.Min(),
 		EndFreqGHz: freq.Last(),
 		SteadyC:    temp.MeanAfter(run.ExecTime / 2),

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"thermctl/internal/core"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -43,23 +42,11 @@ func Fig9(seed uint64) (*Fig9Result, error) {
 }
 
 func fig9Run(seed uint64, daemon string) (Fig9Row, error) {
-	c, err := newCluster(4, seed)
+	rig, err := newRig(4, seed, daemonStack(daemon, 25))
 	if err != nil {
 		return Fig9Row{}, err
 	}
-	switch daemon {
-	case "tDVFS":
-		if _, err := attachHybrid(c, 50, 25, core.DefaultTDVFSConfig(50)); err != nil {
-			return Fig9Row{}, err
-		}
-	case "CPUSPEED":
-		if _, err := attachFanControl(c, FanDynamic, 50, 25); err != nil {
-			return Fig9Row{}, err
-		}
-		if err := attachCPUSpeed(c); err != nil {
-			return Fig9Row{}, err
-		}
-	}
+	c := rig.Cluster
 	p := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(workload.BTB4(), 0)
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"thermctl/internal/cluster"
+	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/node"
 	"thermctl/internal/rack"
@@ -38,12 +39,12 @@ type RackStudyResult struct {
 // controller per node.
 func RackStudy(seed uint64) (*RackStudyResult, error) {
 	res := &RackStudyResult{}
-	for _, unified := range []bool{false, true} {
-		rows, err := rackRun(seed, unified)
+	for _, withUnified := range []bool{false, true} {
+		rows, err := rackRun(seed, withUnified)
 		if err != nil {
 			return nil, err
 		}
-		if unified {
+		if withUnified {
 			res.Unified = rows
 		} else {
 			res.Fixed = rows
@@ -52,7 +53,7 @@ func RackStudy(seed uint64) (*RackStudyResult, error) {
 	return res, nil
 }
 
-func rackRun(seed uint64, unified bool) ([]RackRow, error) {
+func rackRun(seed uint64, withUnified bool) ([]RackRow, error) {
 	var nodes []*node.Node
 	for i := 0; i < 4; i++ {
 		// Per-slot seeds are mixed, not offset: an additive stride would
@@ -76,24 +77,14 @@ func rackRun(seed uint64, unified bool) ([]RackRow, error) {
 	}
 	c.AddController(r)
 	for i, n := range nodes {
-		if unified {
-			fan, err := core.NewController(core.DefaultConfig(50),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-				core.ActuatorBinding{Actuator: core.NewFanActuator(
-					&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, 100)})
+		if withUnified {
+			nc, err := unified(50, 100).BuildNode(n, config.NodeOptions{})
 			if err != nil {
 				return nil, err
 			}
-			act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
-			if err != nil {
-				return nil, err
+			for _, ctl := range nc.Controllers {
+				c.AddNodeController(i, ctl)
 			}
-			d, err := core.NewTDVFS(core.DefaultTDVFSConfig(50),
-				core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
-			if err != nil {
-				return nil, err
-			}
-			c.AddNodeController(i, core.NewHybrid(fan, d))
 		} else {
 			port := &core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}
 			if err := port.SetDutyPercent(45); err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"thermctl/internal/core"
+	"thermctl/internal/config"
 	"thermctl/internal/workload"
 )
 
@@ -42,23 +42,11 @@ func Table1(seed uint64) (*Table1Result, error) {
 }
 
 func table1Run(seed uint64, daemon string, cap float64) (Table1Cell, error) {
-	c, err := newCluster(4, seed)
+	rig, err := newRig(4, seed, daemonStack(daemon, cap))
 	if err != nil {
 		return Table1Cell{}, err
 	}
-	switch daemon {
-	case "tDVFS":
-		if _, err := attachHybrid(c, 50, cap, core.DefaultTDVFSConfig(50)); err != nil {
-			return Table1Cell{}, err
-		}
-	case "CPUSPEED":
-		if _, err := attachFanControl(c, FanDynamic, 50, cap); err != nil {
-			return Table1Cell{}, err
-		}
-		if err := attachCPUSpeed(c); err != nil {
-			return Table1Cell{}, err
-		}
-	}
+	c := rig.Cluster
 	run := c.RunProgram(workload.BTB4(), 0)
 
 	avgW := meterAvgW(c)
@@ -70,6 +58,17 @@ func table1Run(seed uint64, daemon string, cap float64) (Table1Cell, error) {
 		AvgPowerW:   avgW,
 		PDP:         avgW * run.ExecTime.Seconds(),
 	}, nil
+}
+
+// daemonStack is the §4.3 stack for one frequency daemon ("tDVFS" or
+// "CPUSPEED"): dynamic fan control at Pp=50 capped at maxDuty, with
+// the daemon beside it.
+func daemonStack(daemon string, maxDuty float64) config.ControlSpec {
+	cs := unified(50, maxDuty)
+	if daemon == "CPUSPEED" {
+		cs.DVFS = "cpuspeed"
+	}
+	return cs
 }
 
 // Cell returns the cell for (daemon, cap), or nil.

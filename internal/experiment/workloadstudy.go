@@ -45,10 +45,11 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 	for _, prog := range progs {
 		row := WorkloadRow{Name: prog.Name}
 		for _, freq := range []float64{2.4, 2.0} {
-			c, err := newCluster(4, seed)
+			rig, err := newRig(4, seed, bare)
 			if err != nil {
 				return nil, err
 			}
+			c := rig.Cluster
 			for _, n := range c.Nodes {
 				if err := n.FS.WriteInt(n.Hwmon.PWMEnable, 1); err != nil {
 					return nil, err

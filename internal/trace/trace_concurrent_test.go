@@ -53,6 +53,11 @@ func TestConcurrentRecord(t *testing.T) {
 // mid-flight are internally consistent snapshots: every emitted row
 // parses and matches the header width, even while writers keep going.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
+	// Each writer stops after a fixed budget. Unbounded writers outrun
+	// a descheduled snapshot loop, and since every snapshot is linear in
+	// the recorder's size, the test could grow until the process was
+	// killed for memory.
+	const perWriter = 1 << 15
 	rec := NewRecorder()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -61,7 +66,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := fmt.Sprintf("s%d", g)
-			for i := 0; ; i++ {
+			for i := 0; i < perWriter; i++ {
 				select {
 				case <-stop:
 					return

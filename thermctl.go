@@ -39,13 +39,14 @@
 package thermctl
 
 import (
+	"fmt"
+
 	"thermctl/internal/baseline"
 	"thermctl/internal/cluster"
 	"thermctl/internal/config"
 	"thermctl/internal/core"
 	"thermctl/internal/core/ctlarray"
 	"thermctl/internal/core/window"
-	"thermctl/internal/cstates"
 	"thermctl/internal/experiment"
 	"thermctl/internal/node"
 	"thermctl/internal/rng"
@@ -150,42 +151,49 @@ func NewCluster(n int, seed uint64) (*Cluster, error) {
 	return cluster.New(n, cluster.DefaultDt, seed)
 }
 
+// buildStack wires one node's controllers through the scenario layer's
+// single constructor, config.ControlSpec.BuildNode. pp is checked here
+// because BuildNode reads an explicit 0 as "use the default Pp".
+func buildStack(n *Node, pp int, cs config.ControlSpec) (*config.NodeControl, error) {
+	if pp < PpMin || pp > PpMax {
+		return nil, fmt.Errorf("thermctl: pp %d outside [%d, %d]", pp, PpMin, PpMax)
+	}
+	cs.Tuning.Pp = pp
+	return cs.BuildNode(n, config.NodeOptions{})
+}
+
 // NewDynamicFanControl attaches the paper's history-based dynamic fan
 // controller to a node: policy pp in [1,100], fan duty capped at
 // maxDuty percent. Drive it by calling OnStep after each node Step.
 func NewDynamicFanControl(n *Node, pp int, maxDuty float64) (*Controller, error) {
-	return core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: core.NewFanActuator(
-			&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon}, maxDuty)},
-	)
+	nc, err := buildStack(n, pp, config.ControlSpec{Fan: "dynamic", DVFS: "none",
+		Tuning: config.Config{MaxFanDuty: maxDuty}})
+	if err != nil {
+		return nil, err
+	}
+	return nc.Fan, nil
 }
 
 // NewTDVFS attaches the temperature-aware DVFS daemon to a node with
 // the paper's parameters (51 °C threshold) at policy pp.
 func NewTDVFS(n *Node, pp int) (*TDVFS, error) {
-	act, err := core.NewDVFSActuator(&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	nc, err := buildStack(n, pp, config.ControlSpec{Fan: "auto", DVFS: "tdvfs"})
 	if err != nil {
 		return nil, err
 	}
-	return core.NewTDVFS(core.DefaultTDVFSConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput), act)
+	return nc.TDVFS, nil
 }
 
 // NewUnified attaches the full unified controller to a node: dynamic
 // fan control and tDVFS coordinated under one policy pp, fan capped at
 // maxDuty percent.
 func NewUnified(n *Node, pp int, maxDuty float64) (*Hybrid, error) {
-	fan, err := NewDynamicFanControl(n, pp, maxDuty)
+	nc, err := buildStack(n, pp, config.ControlSpec{Fan: "dynamic", DVFS: "tdvfs",
+		Tuning: config.Config{MaxFanDuty: maxDuty}})
 	if err != nil {
 		return nil, err
 	}
-	dvfs, err := NewTDVFS(n, pp)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewHybrid(fan, dvfs), nil
+	return nc.Hybrid, nil
 }
 
 // NewSleepStateControl attaches a thermal control array driving the
@@ -194,11 +202,11 @@ func NewUnified(n *Node, pp int, maxDuty float64) (*Hybrid, error) {
 // steps. It demonstrates the array is technique-agnostic: any actuator
 // with ordered modes plugs in.
 func NewSleepStateControl(n *Node, pp int) (*Controller, error) {
-	return core.NewController(
-		core.DefaultConfig(pp),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		core.ActuatorBinding{Actuator: cstates.NewActuator(n.FS, n.CStates)},
-	)
+	nc, err := buildStack(n, pp, config.ControlSpec{Fan: "auto", DVFS: "none", Sleep: "ctlarray"})
+	if err != nil {
+		return nil, err
+	}
+	return nc.Sleep, nil
 }
 
 // LoadScenario reads, normalizes and validates a JSON scenario file.
@@ -207,17 +215,21 @@ func LoadScenario(path string) (Scenario, error) { return config.LoadScenario(pa
 // NewStaticFanControl attaches the traditional static fan controller
 // (the paper's Figure 1 baseline) with the given duty cap.
 func NewStaticFanControl(n *Node, maxDuty float64) (*StaticFan, error) {
-	return baseline.NewStaticFan(
-		baseline.DefaultStaticFanConfig(maxDuty),
-		core.SysfsTemp(n.FS, n.Hwmon.TempInput),
-		&core.SysfsFanPort{FS: n.FS, Chip: n.Hwmon},
-	)
+	nc, err := config.ControlSpec{Fan: "static", DVFS: "none",
+		Tuning: config.Config{MaxFanDuty: maxDuty}}.BuildNode(n, config.NodeOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return nc.Controllers[0].(*StaticFan), nil
 }
 
 // NewCPUSpeed attaches the CPUSPEED utilization governor baseline.
 func NewCPUSpeed(n *Node) (*CPUSpeed, error) {
-	return baseline.NewCPUSpeed(baseline.DefaultCPUSpeedConfig(), n.FS,
-		&core.SysfsFreqPort{FS: n.FS, Paths: n.Cpufreq})
+	nc, err := config.ControlSpec{Fan: "auto", DVFS: "cpuspeed"}.BuildNode(n, config.NodeOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return nc.Controllers[0].(*CPUSpeed), nil
 }
 
 // CPUBurn returns the cpu-burn stressor workload (sustained full load

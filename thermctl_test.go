@@ -97,6 +97,9 @@ func TestPolicyBounds(t *testing.T) {
 	if _, err := NewDynamicFanControl(n, 101, 100); err == nil {
 		t.Error("Pp=101 accepted")
 	}
+	if _, err := NewDynamicFanControl(n, 50, 150); err == nil {
+		t.Error("max duty 150% accepted")
+	}
 }
 
 func TestProgramAccessors(t *testing.T) {
