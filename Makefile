@@ -1,6 +1,6 @@
 # Verification targets mirror .github/workflows/ci.yml.
 
-.PHONY: all build test race lint check bench coverage report
+.PHONY: all build test race lint check fuzz bench coverage report
 
 all: check
 
@@ -24,6 +24,12 @@ lint:
 # check is the full CI gate.
 check:
 	./scripts/check.sh
+
+# fuzz runs every fuzz target in the module for 10s each, past the
+# seed corpora plain `go test` replays. Kept out of check so the local
+# gate stays fast; CI runs it as its own step.
+fuzz:
+	./scripts/fuzzsmoke.sh
 
 # bench refreshes BENCH_cluster.json from the cluster scale benchmark
 # suite (BENCHTIME=1x for a smoke run). FLEET=1 extends ClusterStep to

@@ -66,19 +66,11 @@ func main() {
 	}
 
 	if run("fig2") {
-		r, err := experiment.Fig2(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig2(*seed))
 		writeSeries(*csvDir, "fig2.csv", map[string]*trace.Series{"temp": r.Temp})
 	}
 	if run("fig5") {
-		r, err := experiment.Fig5(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig5(*seed))
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
 			series[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
@@ -87,11 +79,7 @@ func main() {
 		writeSeries(*csvDir, "fig5.csv", series)
 	}
 	if run("fig6") {
-		r, err := experiment.Fig6(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig6(*seed))
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
 			series["temp_"+row.Method] = row.Temp
@@ -100,11 +88,7 @@ func main() {
 		writeSeries(*csvDir, "fig6.csv", series)
 	}
 	if run("fig7") {
-		r, err := experiment.Fig7(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig7(*seed))
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
 			series[fmt.Sprintf("temp_cap%.0f", row.MaxDuty)] = row.Temp
@@ -113,21 +97,13 @@ func main() {
 		writeSeries(*csvDir, "fig7.csv", series)
 	}
 	if run("fig8") {
-		r, err := experiment.Fig8(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig8(*seed))
 		writeSeries(*csvDir, "fig8.csv", map[string]*trace.Series{
 			"temp": r.Temp, "freq": r.Freq,
 		})
 	}
 	if run("fig9") {
-		r, err := experiment.Fig9(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig9(*seed))
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
 			series["temp_"+row.Daemon] = row.Temp
@@ -136,53 +112,25 @@ func main() {
 		writeSeries(*csvDir, "fig9.csv", series)
 	}
 	if run("table1") {
-		r, err := experiment.Table1(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.Table1(*seed))
 	}
 	if run("fanfailure") {
-		r, err := experiment.FanFailure(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.FanFailure(*seed))
 	}
 	if run("rack") {
-		r, err := experiment.RackStudy(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.RackStudy(*seed))
 	}
 	if run("workloads") {
-		r, err := experiment.WorkloadStudy(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.WorkloadStudy(*seed))
 	}
 	if run("ablation") {
-		r, err := experiment.Ablation(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.Ablation(*seed))
 	}
 	if run("scaling") {
-		r, err := experiment.Scaling(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.Scaling(*seed))
 	}
 	if run("fig10") {
-		r, err := experiment.Fig10(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		r := show(experiment.Fig10(*seed))
 		series := map[string]*trace.Series{}
 		for _, row := range r.Rows {
 			series[fmt.Sprintf("temp_pp%d", row.Pp)] = row.Temp
@@ -191,25 +139,13 @@ func main() {
 		writeSeries(*csvDir, "fig10.csv", series)
 	}
 	if run("sleepstates") {
-		r, err := experiment.SleepStates(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.SleepStates(*seed))
 	}
 	if run("loadshapes") {
-		r, err := experiment.LoadShapes(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.LoadShapes(*seed))
 	}
 	if run("chaos") {
-		r, err := experiment.Chaos(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(r)
+		show(experiment.Chaos(*seed))
 	}
 	if run("metrics") {
 		samples, err := report.CollectMetrics(*seed)
@@ -227,21 +163,17 @@ func writeSeries(dir, name string, series map[string]*trace.Series) {
 	if dir == "" {
 		return
 	}
-	rec := trace.NewRecorder()
-	// Record in sorted label order: the recorder's first-recorded order
-	// determines the CSV column order, which must not vary run to run.
+	// Columns go in sorted label order, so the CSV does not vary run to
+	// run; the label, not the series' own name, heads each column.
 	labels := make([]string, 0, len(series))
 	for label := range series {
 		labels = append(labels, label)
 	}
 	sort.Strings(labels)
+	cols := make([]*trace.Series, 0, len(labels))
 	for _, label := range labels {
-		s := series[label]
-		if s == nil {
-			continue
-		}
-		for _, p := range s.Points {
-			rec.Record(label, p.T, p.V)
+		if s := series[label]; s != nil && s.Len() > 0 {
+			cols = append(cols, &trace.Series{Name: label, Points: s.Points})
 		}
 	}
 	f, err := os.Create(filepath.Join(dir, name))
@@ -249,10 +181,19 @@ func writeSeries(dir, name string, series map[string]*trace.Series) {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := rec.WriteCSV(f); err != nil {
+	if err := trace.WriteCSV(f, cols...); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("  wrote %s\n", filepath.Join(dir, name))
+}
+
+// show prints a result, or exits on its error.
+func show[T any](r T, err error) T {
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(r)
+	return r
 }
 
 func fatal(err error) {

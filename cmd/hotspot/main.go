@@ -44,14 +44,21 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	rec, err := trace.ReadCSV(f)
+	cols, err := trace.ReadCSV(f)
 	if err != nil {
 		fatal(err)
 	}
-	series := rec.Series(*seriesName)
+	var series *trace.Series
+	names := make([]string, len(cols))
+	for i, s := range cols {
+		names[i] = s.Name
+		if s.Name == *seriesName {
+			series = s
+		}
+	}
 	if series == nil {
 		fatal(fmt.Errorf("series %q not in trace (have: %s)",
-			*seriesName, strings.Join(rec.Names(), ", ")))
+			*seriesName, strings.Join(names, ", ")))
 	}
 
 	var spans []hotspot.Span

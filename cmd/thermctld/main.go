@@ -232,7 +232,9 @@ func run(o options, out io.Writer) error {
 	// Optional binary trace of the run, one record set per control
 	// step. The schema matches a one-node cluster trace, so the same
 	// thermtrace invocations work on daemon and clustersim output.
+	dt := 250 * time.Millisecond
 	var tw *tracefile.Writer
+	var probe *config.TraceProbe
 	if o.trace != "" {
 		f, err := os.Create(o.trace)
 		if err != nil {
@@ -240,6 +242,9 @@ func run(o options, out io.Writer) error {
 		}
 		defer f.Close()
 		if tw, err = tracefile.NewWriter(f, config.ClusterTraceSchema(1), nil); err != nil {
+			return err
+		}
+		if probe, err = config.NewTraceProbe([]*thermctl.Node{n}, tw, dt); err != nil {
 			return err
 		}
 	}
@@ -287,7 +292,6 @@ func run(o options, out io.Writer) error {
 	fmt.Fprintf(out, "%8s %10s %8s %9s %8s %10s\n",
 		"time", "temp degC", "duty %", "freq GHz", "dvfs", "power W")
 
-	dt := 250 * time.Millisecond
 	next := time.Duration(0)
 	for n.Elapsed() < o.duration {
 		if o.stop != nil {
@@ -311,12 +315,8 @@ func run(o options, out io.Writer) error {
 		}
 		stepSeconds.ObserveSince(begin)
 		steps.Inc()
-		if tw != nil {
-			now := n.Elapsed()
-			tw.Append(0, now, n.Sensor.Read())
-			tw.Append(1, now, n.Fan.Duty())
-			tw.Append(2, now, n.CPU.FreqGHz())
-			tw.Append(3, now, n.Power().Total())
+		if probe != nil {
+			probe.OnStep(n.Elapsed())
 		}
 		if n.Elapsed() >= next {
 			next += o.every

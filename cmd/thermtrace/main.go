@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/config"
 	"thermctl/internal/report"
 	"thermctl/internal/trace"
 	"thermctl/internal/tracefile"
@@ -160,23 +161,26 @@ func catCmd(args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	// CSV joins rows on timestamps, so the slice is assembled in a
-	// recorder; filter first to keep only the requested columns
-	// resident.
-	rec := trace.NewRecorder()
-	schema := r.Schema()
+	// CSV joins rows on timestamps, so the slice is assembled in memory,
+	// filtered first to keep only the requested columns resident. Columns
+	// go in first-sample order; a series with no sample gets none.
+	set := config.NewTraceSet(r.Schema())
+	var cols []*trace.Series
 	err = r.Samples(win, func(s tracefile.Sample) error {
-		name := schema[s.Series].Name
-		if len(keep) > 0 && !keep[name] {
+		col := &set[s.Series]
+		if len(keep) > 0 && !keep[col.Name] {
 			return nil
 		}
-		rec.Record(name, s.T, s.V)
+		if col.Len() == 0 {
+			cols = append(cols, col)
+		}
+		col.Add(s.T, s.V)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return rec.WriteCSV(stdout)
+	return trace.WriteCSV(stdout, cols...)
 }
 
 func diffCmd(args []string, stdout io.Writer) (bool, error) {

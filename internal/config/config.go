@@ -6,6 +6,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -96,13 +97,34 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// ErrTrailingData reports anything but whitespace after the one JSON
+// value of a configuration or scenario document.
+var ErrTrailingData = errors.New("config: trailing data after the JSON document")
+
+// decodeOnly decodes the one JSON value dec holds into v. Any token or
+// malformed text after it is ErrTrailingData; a failing read is itself.
+func decodeOnly(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	if err == nil || err == io.ErrUnexpectedEOF || errors.As(err, &syntax) {
+		return ErrTrailingData
+	}
+	if err != io.EOF {
+		return fmt.Errorf("config: %w", err)
+	}
+	return nil
+}
+
 // Read parses, normalizes and validates a JSON configuration.
 func Read(r io.Reader) (Config, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("config: %w", err)
+	if err := decodeOnly(dec, &c); err != nil {
+		return Config{}, err
 	}
 	c.Normalize()
 	if err := c.Validate(); err != nil {

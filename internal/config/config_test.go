@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +49,49 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestReadRejectsTrailingData: a configuration is one JSON value;
+// anything after it is refused, not silently ignored.
+func TestReadRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"pp": 25} {"pp": 75}`,
+		`{"pp": 25} garbage`,
+		`{"pp": 25}]`,
+		`{"pp": 25} "cut`,
+	} {
+		if _, err := Read(strings.NewReader(body)); !errors.Is(err, ErrTrailingData) {
+			t.Errorf("%s: err = %v, want ErrTrailingData", body, err)
+		}
+	}
+	if _, err := Read(strings.NewReader("{\"pp\": 25}\n\t ")); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
+	}
+}
+
+// failAfter yields its bytes, then fails every later read with err.
+type failAfter struct {
+	data []byte
+	err  error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestReadReportsStreamError: a read that fails after the document is a
+// stream fault, reported as itself, not mistaken for trailing data.
+func TestReadReportsStreamError(t *testing.T) {
+	disk := errors.New("disk gone")
+	_, err := Read(&failAfter{data: []byte(`{"pp": 25}`), err: disk})
+	if !errors.Is(err, disk) || errors.Is(err, ErrTrailingData) {
+		t.Fatalf("err = %v, want the stream's own error", err)
 	}
 }
 

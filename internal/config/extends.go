@@ -72,8 +72,8 @@ func resolveExtends(raw []byte, dir string, seen map[string]bool, depth int) (ma
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var m map[string]any
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("config: %w", err)
+	if err := decodeOnly(dec, &m); err != nil {
+		return nil, err
 	}
 	ext, ok := m["extends"]
 	if !ok {

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -276,6 +277,33 @@ func TestExtendsComposition(t *testing.T) {
 	}
 	if s.Nodes != 3 {
 		t.Errorf("nodes = %d, want 3 from the inherited groups", s.Nodes)
+	}
+}
+
+// TestReadScenarioDirRejectsTrailingData: a scenario document is one
+// JSON value; a second value or garbage after it is refused.
+func TestReadScenarioDirRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"nodes": 2} {"nodes": 9} garbage`,
+		`{"nodes": 2, "control": {}} x`,
+	} {
+		if _, err := ReadScenarioDir(strings.NewReader(body), t.TempDir()); !errors.Is(err, ErrTrailingData) {
+			t.Errorf("%s: err = %v, want ErrTrailingData", body, err)
+		}
+	}
+}
+
+// TestExtendsBaseRejectsTrailingData: every base an extends chain
+// resolves is held to the same one-value rule as the top document.
+func TestExtendsBaseRejectsTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "base.json"),
+		[]byte(`{"nodes": 2, "control": {}} {"nodes": 9}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadScenarioDir(strings.NewReader(`{"extends": "base.json", "seed": 3}`), dir)
+	if !errors.Is(err, ErrTrailingData) {
+		t.Fatalf("err = %v, want ErrTrailingData from the base", err)
 	}
 }
 

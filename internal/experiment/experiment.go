@@ -17,7 +17,6 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
 	"thermctl/internal/cluster"
@@ -36,52 +35,11 @@ const Seed = 20100131 // ICPP 2010 submission era
 // value changes wall-clock time only, never a result.
 var Workers = 1
 
-// probe records per-node observables on a fixed schedule.
-type probe struct {
-	c      *cluster.Cluster
-	rec    *trace.Recorder
-	every  time.Duration
-	next   time.Duration
-	labels []probeLabels
-}
-
-// probeLabels holds one node's series names, formatted once at probe
-// construction: OnStep samples every node every interval and must not
-// build strings per sample.
-type probeLabels struct {
-	temp, duty, freq, power string
-}
-
-// newProbe attaches a recorder to the cluster sampling every interval.
-func newProbe(c *cluster.Cluster, every time.Duration) *probe {
-	p := &probe{c: c, rec: trace.NewRecorder(), every: every, next: 0}
-	p.labels = make([]probeLabels, len(c.Nodes))
-	for i := range c.Nodes {
-		prefix := fmt.Sprintf("n%d_", i)
-		p.labels[i] = probeLabels{
-			temp:  prefix + "temp",
-			duty:  prefix + "duty",
-			freq:  prefix + "freq",
-			power: prefix + "power",
-		}
-	}
-	c.AddController(p)
-	return p
-}
-
-// OnStep implements cluster.Controller.
-func (p *probe) OnStep(now time.Duration) {
-	if now < p.next {
-		return
-	}
-	p.next += p.every
-	for i, n := range p.c.Nodes {
-		l := &p.labels[i]
-		p.rec.Record(l.temp, now, n.Sensor.Read())
-		p.rec.Record(l.duty, now, n.Fan.Duty())
-		p.rec.Record(l.freq, now, n.CPU.FreqGHz())
-		p.rec.Record(l.power, now, n.Power().Total())
-	}
+// nodeSeries returns a copy of node's q series header (config.TraceTemp,
+// ...), so a result holding it keeps only that series' samples alive.
+func nodeSeries(tr trace.Set, node, q int) *trace.Series {
+	s := tr[config.TraceIndex(node, q)]
+	return &s
 }
 
 // newRig builds the standard experiment cluster through the scenario
@@ -89,6 +47,21 @@ func (p *probe) OnStep(now time.Duration) {
 // with ctl's stack on every node in the sharded node-local phase.
 func newRig(nodes int, seed uint64, ctl config.ControlSpec) (*config.Rig, error) {
 	return config.Scenario{Nodes: nodes, Seed: seed, Workers: Workers, Control: ctl}.Build()
+}
+
+// newTracedRig is newRig plus a probe sampling every node into memory.
+func newTracedRig(nodes int, seed uint64, ctl config.ControlSpec, every time.Duration) (*config.Rig, trace.Set, error) {
+	rig, err := newRig(nodes, seed, ctl)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr := config.NewTraceSet(config.ClusterTraceSchema(nodes))
+	p, err := config.NewTraceProbe(rig.Cluster.Nodes, tr, every)
+	if err != nil {
+		return nil, nil, err
+	}
+	rig.Cluster.AddController(p)
+	return rig, tr, nil
 }
 
 // bare is the stack of a cluster the experiment drives by hand: the
@@ -101,21 +74,6 @@ var bare = config.ControlSpec{Fan: "auto", DVFS: "none"}
 func unified(pp int, maxDuty float64) config.ControlSpec {
 	return config.ControlSpec{Fan: "dynamic", DVFS: "tdvfs",
 		Tuning: config.Config{Pp: pp, MaxFanDuty: maxDuty}}
-}
-
-// avgAcrossNodes returns the mean over nodes of the given per-node
-// series statistic.
-func avgAcrossNodes(rec *trace.Recorder, nodes int, suffix string,
-	stat func(*trace.Series) float64) float64 {
-	var sum float64
-	for i := 0; i < nodes; i++ {
-		s := rec.Series(fmt.Sprintf("n%d_%s", i, suffix))
-		if s == nil {
-			return 0
-		}
-		sum += stat(s)
-	}
-	return sum / float64(nodes)
 }
 
 // meterAvgW returns the average wall power across the cluster's nodes.

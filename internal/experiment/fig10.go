@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -43,27 +44,26 @@ func Fig10(seed uint64) (*Fig10Result, error) {
 }
 
 func fig10Run(seed uint64, pp int) (Fig10Row, error) {
-	rig, err := newRig(4, seed, unified(pp, 50))
+	rig, tr, err := newTracedRig(4, seed, unified(pp, 50), 250*time.Millisecond)
 	if err != nil {
 		return Fig10Row{}, err
 	}
 	c := rig.Cluster
-	p := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(workload.BTB4(), 0)
 
-	temp := p.rec.Series("n0_temp")
+	temp := nodeSeries(tr, 0, config.TraceTemp)
 	// The deepest frequency anywhere in the cluster: the trigger often
 	// lands on whichever node's sensor runs warmest, not node 0.
 	minFreq := math.Inf(1)
 	for i := range c.Nodes {
-		if s := p.rec.Series(fmt.Sprintf("n%d_freq", i)); s != nil && s.Min() < minFreq {
+		if s := &tr[config.TraceIndex(i, config.TraceFreq)]; s.Min() < minFreq {
 			minFreq = s.Min()
 		}
 	}
 	row := Fig10Row{
 		Pp:         pp,
 		Temp:       temp,
-		Freq:       p.rec.Series("n0_freq"),
+		Freq:       nodeSeries(tr, 0, config.TraceFreq),
 		AvgTempC:   temp.MeanAfter(run.ExecTime / 4),
 		MinFreqGHz: minFreq,
 		ExecS:      run.ExecTime.Seconds(),

@@ -52,21 +52,25 @@ func fig5Run(seed uint64, pp int) (Fig5Row, error) {
 		return Fig5Row{}, err
 	}
 
-	row := Fig5Row{
-		Pp:   pp,
-		Temp: &trace.Series{Name: fmt.Sprintf("temp_pp%d", pp)},
-		Duty: &trace.Series{Name: fmt.Sprintf("duty_pp%d", pp)},
+	dt := 250 * time.Millisecond
+	tr := config.NewTraceSet(config.ClusterTraceSchema(1))
+	probe, err := config.NewTraceProbe([]*node.Node{n}, tr, dt)
+	if err != nil {
+		return Fig5Row{}, err
 	}
 	// Three instances of cpu-burn, i.e. sustained full load with
 	// scheduler noise.
 	n.SetGenerator(workload.NewCPUBurn(rng.New(seed + uint64(pp))))
-	dt := 250 * time.Millisecond
 	total := 5 * time.Minute
 	for n.Elapsed() < total {
 		n.Step(dt)
 		nc.Fan.OnStep(n.Elapsed())
-		row.Temp.Add(n.Elapsed(), n.Sensor.Read())
-		row.Duty.Add(n.Elapsed(), n.Fan.Duty())
+		probe.OnStep(n.Elapsed())
+	}
+	row := Fig5Row{
+		Pp:   pp,
+		Temp: nodeSeries(tr, 0, config.TraceTemp),
+		Duty: nodeSeries(tr, 0, config.TraceDuty),
 	}
 	// Steady-state statistics over the second half of the run, past the
 	// warm-up transient.

@@ -43,17 +43,16 @@ func Fig6(seed uint64) (*Fig6Result, error) {
 }
 
 func fig6Run(seed uint64, method string) (Fig6Row, error) {
-	rig, err := newRig(4, seed, config.ControlSpec{Fan: method, DVFS: "none",
-		Tuning: config.Config{Pp: 50, MaxFanDuty: 75}})
+	rig, tr, err := newTracedRig(4, seed, config.ControlSpec{Fan: method, DVFS: "none",
+		Tuning: config.Config{Pp: 50, MaxFanDuty: 75}}, 250*time.Millisecond)
 	if err != nil {
 		return Fig6Row{}, err
 	}
 	c := rig.Cluster
-	p := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(workload.BTB4(), 0)
 
-	temp := p.rec.Series("n0_temp")
-	duty := p.rec.Series("n0_duty")
+	temp := nodeSeries(tr, 0, config.TraceTemp)
+	duty := nodeSeries(tr, 0, config.TraceDuty)
 	row := Fig6Row{
 		Method:     method,
 		Temp:       temp,

@@ -30,17 +30,16 @@ type Fig7Result struct {
 func Fig7(seed uint64) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, cap := range []float64{25, 50, 75, 100} {
-		rig, err := newRig(4, seed, config.ControlSpec{Fan: "dynamic", DVFS: "none",
-			Tuning: config.Config{Pp: 50, MaxFanDuty: cap}})
+		rig, tr, err := newTracedRig(4, seed, config.ControlSpec{Fan: "dynamic", DVFS: "none",
+			Tuning: config.Config{Pp: 50, MaxFanDuty: cap}}, 250*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
 		c := rig.Cluster
-		p := newProbe(c, 250*time.Millisecond)
 		run := c.RunProgram(workload.BTB4(), 0)
 
-		temp := p.rec.Series("n0_temp")
-		duty := p.rec.Series("n0_duty")
+		temp := nodeSeries(tr, 0, config.TraceTemp)
+		duty := nodeSeries(tr, 0, config.TraceDuty)
 		res.Rows = append(res.Rows, Fig7Row{
 			MaxDuty: cap,
 			Temp:    temp,

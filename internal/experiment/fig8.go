@@ -29,14 +29,13 @@ type Fig8Result struct {
 // Fig8 runs the experiment: threshold 51 °C, Pp=50, static fan capped
 // at 25% duty.
 func Fig8(seed uint64) (*Fig8Result, error) {
-	rig, err := newRig(4, seed, config.ControlSpec{Fan: "static", DVFS: "tdvfs",
-		Tuning: config.Config{Pp: 50, MaxFanDuty: 25}})
+	rig, tr, err := newTracedRig(4, seed, config.ControlSpec{Fan: "static", DVFS: "tdvfs",
+		Tuning: config.Config{Pp: 50, MaxFanDuty: 25}}, 250*time.Millisecond)
 	if err != nil {
 		return nil, err
 	}
 	c := rig.Cluster
 	d := rig.Nodes[0].TDVFS
-	p := newProbe(c, 250*time.Millisecond)
 
 	run := c.RunProgram(workload.LUB4(), 0)
 	// Idle tail: the application has exited; temperature decays and
@@ -44,8 +43,8 @@ func Fig8(seed uint64) (*Fig8Result, error) {
 	// paper's Figure 8).
 	c.RunGenerator(workload.Constant(0.02), 3*time.Minute)
 
-	temp := p.rec.Series("n0_temp")
-	freq := p.rec.Series("n0_freq")
+	temp := nodeSeries(tr, 0, config.TraceTemp)
+	freq := nodeSeries(tr, 0, config.TraceFreq)
 	return &Fig8Result{
 		Temp:       temp,
 		Freq:       freq,

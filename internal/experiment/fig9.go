@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -42,19 +43,18 @@ func Fig9(seed uint64) (*Fig9Result, error) {
 }
 
 func fig9Run(seed uint64, daemon string) (Fig9Row, error) {
-	rig, err := newRig(4, seed, daemonStack(daemon, 25))
+	rig, tr, err := newTracedRig(4, seed, daemonStack(daemon, 25), 250*time.Millisecond)
 	if err != nil {
 		return Fig9Row{}, err
 	}
 	c := rig.Cluster
-	p := newProbe(c, 250*time.Millisecond)
 	run := c.RunProgram(workload.BTB4(), 0)
 
-	temp := p.rec.Series("n0_temp")
+	temp := nodeSeries(tr, 0, config.TraceTemp)
 	row := Fig9Row{
 		Daemon:      daemon,
 		Temp:        temp,
-		Freq:        p.rec.Series("n0_freq"),
+		Freq:        nodeSeries(tr, 0, config.TraceFreq),
 		FinalC:      temp.MeanAfter(run.ExecTime - 15*time.Second),
 		PeakC:       temp.Max(),
 		Transitions: totalTransitions(c),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"thermctl/internal/config"
 	"thermctl/internal/trace"
 	"thermctl/internal/workload"
 )
@@ -45,7 +46,7 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 	for _, prog := range progs {
 		row := WorkloadRow{Name: prog.Name}
 		for _, freq := range []float64{2.4, 2.0} {
-			rig, err := newRig(4, seed, bare)
+			rig, tr, err := newTracedRig(4, seed, bare, time.Second)
 			if err != nil {
 				return nil, err
 			}
@@ -61,12 +62,11 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 					return nil, fmt.Errorf("no %v GHz state", freq)
 				}
 			}
-			p := newProbe(c, time.Second)
 			run := c.RunProgram(prog, 0)
 			if freq == 2.4 {
 				row.ExecS = run.ExecTime.Seconds()
 				row.AvgPowerW = meterAvgW(c)
-				row.PeakC = maxAcross(p.rec, len(c.Nodes))
+				row.PeakC = maxAcross(tr, len(c.Nodes))
 			} else {
 				row.Exec20S = run.ExecTime.Seconds()
 			}
@@ -77,10 +77,11 @@ func WorkloadStudy(seed uint64) (*WorkloadStudyResult, error) {
 	return res, nil
 }
 
-func maxAcross(rec *trace.Recorder, nodes int) float64 {
+// maxAcross returns the hottest die-temperature sample of any node.
+func maxAcross(tr trace.Set, nodes int) float64 {
 	peak := -1e9
 	for i := 0; i < nodes; i++ {
-		if s := rec.Series(fmt.Sprintf("n%d_temp", i)); s != nil && s.Max() > peak {
+		if s := &tr[config.TraceIndex(i, config.TraceTemp)]; s.Max() > peak {
 			peak = s.Max()
 		}
 	}

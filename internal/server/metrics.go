@@ -30,6 +30,7 @@ const (
 	rejectInvalid  = "invalid"
 	rejectQueue    = "queue_full"
 	rejectDraining = "draining"
+	rejectTooLarge = "too_large"
 )
 
 // jobLatencyBuckets span fast 4-node campaigns (~0.1s) through long
@@ -49,7 +50,7 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 	m.submitted = reg.NewCounter("thermsrv_jobs_submitted_total",
 		"Campaign jobs accepted into the queue.")
 	m.rejected = map[string]*metrics.Counter{}
-	for _, reason := range []string{rejectInvalid, rejectQueue, rejectDraining} {
+	for _, reason := range []string{rejectInvalid, rejectQueue, rejectDraining, rejectTooLarge} {
 		m.rejected[reason] = reg.NewCounter("thermsrv_jobs_rejected_total",
 			"Campaign submissions refused, by reason.", metrics.L("reason", reason))
 	}

@@ -175,12 +175,19 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxSpecBytes bounds a submitted scenario document.
+// maxSpecBytes bounds a submitted scenario document; a longer body is
+// refused with 413 rather than read as a truncated prefix.
 const maxSpecBytes = 1 << 20
 
 // handleSubmit validates and enqueues one campaign.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := config.ReadScenarioDir(io.LimitReader(r.Body, maxSpecBytes), s.cfg.ScenarioDir)
+	spec, err := config.ReadScenarioDir(http.MaxBytesReader(w, r.Body, maxSpecBytes), s.cfg.ScenarioDir)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.m.rejected[rejectTooLarge].Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, "scenario document over %d bytes", tooLarge.Limit)
+		return
+	}
 	if err != nil {
 		s.m.rejected[rejectInvalid].Inc()
 		writeError(w, http.StatusBadRequest, "invalid scenario: %v", err)

@@ -216,6 +216,26 @@ func TestSubmitInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedSpec: a body one byte over maxSpecBytes is
+// refused with 413 and counted under its own reason — never truncated
+// to a prefix that happens to parse — while a body of exactly
+// maxSpecBytes is still read whole.
+func TestSubmitOversizedSpec(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pad := func(n int) string { return btSpec + strings.Repeat(" ", n-len(btSpec)) }
+	if _, status := trySubmit(t, ts, pad(maxSpecBytes+1)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", status)
+	}
+	if got := s.m.rejected[rejectTooLarge].Value(); got != 1 {
+		t.Fatalf("rejected{too_large} = %d, want 1", got)
+	}
+	if got := s.m.rejected[rejectInvalid].Value(); got != 0 {
+		t.Fatalf("rejected{invalid} = %d, want 0", got)
+	}
+	v := submit(t, ts, pad(maxSpecBytes))
+	waitTerminal(t, ts, v.ID)
+}
+
 func TestUnknownJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/trace", "/v1/jobs/nope/report", "/v1/jobs/nope/stream"} {

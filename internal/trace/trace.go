@@ -6,13 +6,13 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -30,7 +30,7 @@ type Series struct {
 
 // Add appends a sample.
 func (s *Series) Add(t time.Duration, v float64) {
-	//thermlint:allow hotalloc -- a recorder's whole job is to accumulate samples; growth is amortized O(1)
+	//thermlint:allow hotalloc -- a series' whole job is to accumulate samples; growth is amortized O(1)
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
@@ -168,57 +168,45 @@ func Std(vs []float64) float64 {
 	return math.Sqrt(ss / float64(len(vs)))
 }
 
-// Recorder collects multiple named series with a shared sampling
-// schedule. Record, Names, Series and WriteCSV are safe for concurrent
-// use: out-of-band probes (BMC pollers, the IPMI server's connection
-// goroutines) append samples concurrently with the in-band sampling
-// loop. Mutating a *Series obtained from Series while others record is
-// the caller's responsibility to serialize.
-type Recorder struct {
-	mu     sync.Mutex
-	order  []string
-	series map[string]*Series
-}
+// Set is an in-memory trace addressed by series index: element i holds
+// series i of a schema, the in-memory counterpart of a .tct file's
+// series table. Append makes it a sink for the per-node trace probe
+// (config.TraceProbe), alongside tracefile.Writer.
+type Set []Series
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{series: make(map[string]*Series)}
-}
+// Append adds a sample to series i.
+func (s Set) Append(i int, t time.Duration, v float64) { s[i].Add(t, v) }
 
-// Record appends a sample to the named series, creating it on first use.
-func (r *Recorder) Record(name string, t time.Duration, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		//thermlint:allow hotalloc -- first-use only: a series is created once per name, then reused
-		s = &Series{Name: name}
-		r.series[name] = s
-		//thermlint:allow hotalloc -- first-use only: grows once per distinct series name
-		r.order = append(r.order, name)
+// Errors ReadCSV reports for input that would not survive WriteCSV
+// unchanged: a duplicate column merges two series, and WriteCSV joins
+// samples on timestamps, so a repeated time row loses a sample.
+var (
+	ErrEmptyColumn     = errors.New("trace: empty CSV column name")
+	ErrDuplicateColumn = errors.New("trace: duplicate CSV column name")
+	ErrBadTimestamp    = errors.New("trace: CSV timestamp not a number within Duration's range")
+	ErrTimeOrder       = errors.New("trace: CSV time rows not strictly increasing")
+	// ErrTimeCollision is WriteCSV's refusal to print two distinct
+	// timestamps that its millisecond time column cannot tell apart:
+	// ReadCSV would refuse the repeated row.
+	ErrTimeCollision = errors.New("trace: distinct timestamps share one CSV time row")
+)
+
+// parseStamp reads a time_s cell as ReadCSV does; ok is false unless
+// it is a number within Duration's range.
+func parseStamp(cell string) (t time.Duration, ok bool) {
+	ts, err := strconv.ParseFloat(cell, 64)
+	ns := ts * float64(time.Second)
+	if err != nil || !(math.Abs(ns) < math.MaxInt64) {
+		return 0, false
 	}
-	s.Add(t, v)
-}
-
-// Series returns the named series, or nil if never recorded.
-func (r *Recorder) Series(name string) *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.series[name]
-}
-
-// Names returns the series names in first-recorded order.
-func (r *Recorder) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
+	return time.Duration(ns), true
 }
 
 // ReadCSV parses the format WriteCSV emits — a "time_s" column followed
-// by one column per series; empty cells are skipped — and returns a
-// recorder holding the series. It is the ingestion path for offline
-// analysis (e.g. the hotspot profiler over an exported run).
-func ReadCSV(r io.Reader) (*Recorder, error) {
+// by one column per series; empty cells are skipped — and returns one
+// series per column, in column order. It is the ingestion path for
+// offline analysis (e.g. the hotspot profiler over an exported run).
+func ReadCSV(r io.Reader) ([]*Series, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -230,20 +218,34 @@ func ReadCSV(r io.Reader) (*Recorder, error) {
 	if len(header) < 2 || header[0] != "time_s" {
 		return nil, fmt.Errorf("trace: malformed header %q", sc.Text())
 	}
-	names := header[1:]
-	rec := NewRecorder()
+	cols := make([]*Series, len(header)-1)
+	seen := make(map[string]bool, len(cols))
+	for i, name := range header[1:] {
+		if name == "" {
+			return nil, fmt.Errorf("%w (column %d)", ErrEmptyColumn, i+2)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("%w %q", ErrDuplicateColumn, name)
+		}
+		seen[name] = true
+		cols[i] = &Series{Name: name}
+	}
 	line := 1
+	var prev time.Duration
 	for sc.Scan() {
 		line++
 		row := strings.Split(strings.TrimSpace(sc.Text()), ",")
 		if len(row) != len(header) {
 			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(row), len(header))
 		}
-		ts, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad timestamp %q", line, row[0])
+		t, ok := parseStamp(row[0])
+		if !ok {
+			return nil, fmt.Errorf("%w: line %d: %q", ErrBadTimestamp, line, row[0])
 		}
-		t := time.Duration(ts * float64(time.Second))
+		if line > 2 && t <= prev {
+			return nil, fmt.Errorf("%w: line %d: %s after %s", ErrTimeOrder, line, t, prev)
+		}
+		prev = t
 		for i, cell := range row[1:] {
 			if cell == "" {
 				continue
@@ -252,54 +254,62 @@ func ReadCSV(r io.Reader) (*Recorder, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d: bad value %q", line, cell)
 			}
-			rec.Record(names[i], t, v)
+			cols[i].Add(t, v)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	return rec, nil
+	return cols, nil
 }
 
-// WriteCSV emits all series as CSV: a time column (seconds) followed by
-// one column per series, rows joined on exact timestamps. Missing
-// values are left empty. The recorder is locked for the duration: the
-// snapshot is consistent even while probes keep recording.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.order...)
-	// Collect the union of timestamps.
+// WriteCSV emits the series as CSV: a time column (seconds) followed by
+// one column per series, in argument order, headed by the series'
+// names, with rows joined on exact timestamps. Missing values are left
+// empty. Times print to the millisecond; two distinct timestamps that
+// would share a row are refused with ErrTimeCollision before anything
+// is written, so every file WriteCSV emits reads back with ReadCSV.
+func WriteCSV(w io.Writer, series ...*Series) error {
+	// Collect the union of timestamps; index each series by timestamp.
+	names := make([]string, len(series))
 	stamps := map[time.Duration]bool{}
-	for _, n := range names {
-		for _, p := range r.series[n].Points {
+	idx := make([]map[time.Duration]float64, len(series))
+	for i, s := range series {
+		names[i] = s.Name
+		m := make(map[time.Duration]float64, s.Len())
+		for _, p := range s.Points {
 			stamps[p.T] = true
+			m[p.T] = p.V
 		}
+		idx[i] = m
 	}
 	ts := make([]time.Duration, 0, len(stamps))
 	for t := range stamps {
 		ts = append(ts, t)
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-
-	// Index each series by timestamp.
-	idx := make(map[string]map[time.Duration]float64, len(names))
-	for _, n := range names {
-		m := make(map[time.Duration]float64, r.series[n].Len())
-		for _, p := range r.series[n].Points {
-			m[p.T] = p.V
+	cells := make([]string, len(ts))
+	var prev time.Duration
+	for i, t := range ts {
+		cells[i] = fmt.Sprintf("%.3f", t.Seconds())
+		back, ok := parseStamp(cells[i])
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrBadTimestamp, t)
 		}
-		idx[n] = m
+		if i > 0 && back <= prev {
+			return fmt.Errorf("%w: %s and %s both print as %s", ErrTimeCollision, ts[i-1], t, cells[i])
+		}
+		prev = back
 	}
 
 	if _, err := fmt.Fprintf(w, "time_s,%s\n", strings.Join(names, ",")); err != nil {
 		return err
 	}
-	for _, t := range ts {
-		row := make([]string, 0, len(names)+1)
-		row = append(row, fmt.Sprintf("%.3f", t.Seconds()))
-		for _, n := range names {
-			if v, ok := idx[n][t]; ok {
+	for j, t := range ts {
+		row := make([]string, 0, len(series)+1)
+		row = append(row, cells[j])
+		for i := range series {
+			if v, ok := idx[i][t]; ok {
 				row = append(row, fmt.Sprintf("%.4f", v))
 			} else {
 				row = append(row, "")

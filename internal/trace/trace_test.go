@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -148,89 +150,203 @@ func TestStdAndMean(t *testing.T) {
 	}
 }
 
-func TestRecorderSeriesOrder(t *testing.T) {
-	r := NewRecorder()
-	r.Record("temp", 0, 40)
-	r.Record("duty", 0, 10)
-	r.Record("temp", sec(1), 41)
-	names := r.Names()
-	if len(names) != 2 || names[0] != "temp" || names[1] != "duty" {
-		t.Errorf("Names = %v", names)
+// findSeries returns the series named name, or nil.
+func findSeries(all []*Series, name string) *Series {
+	for _, s := range all {
+		if s.Name == name {
+			return s
+		}
 	}
-	if r.Series("temp").Len() != 2 {
-		t.Error("temp series wrong length")
-	}
-	if r.Series("missing") != nil {
-		t.Error("missing series should be nil")
-	}
+	return nil
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	r := NewRecorder()
+	temp, duty := &Series{Name: "temp"}, &Series{Name: "duty"}
 	for i := 0; i < 10; i++ {
-		r.Record("temp", sec(float64(i)*0.25), 40+float64(i))
+		temp.Add(sec(float64(i)*0.25), 40+float64(i))
 		if i%2 == 0 {
-			r.Record("duty", sec(float64(i)*0.25), float64(10*i))
+			duty.Add(sec(float64(i)*0.25), float64(10*i))
 		}
 	}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, temp, duty); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSV(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	temp := back.Series("temp")
-	if temp == nil || temp.Len() != 10 {
-		t.Fatalf("temp round trip: %+v", temp)
+	if len(back) != 2 {
+		t.Fatalf("%d series after round trip, want 2", len(back))
 	}
-	if temp.Points[3].V != 43 || temp.Points[3].T != sec(0.75) {
-		t.Errorf("sample 3: %+v", temp.Points[3])
+	got := findSeries(back, "temp")
+	if got == nil || got.Len() != 10 {
+		t.Fatalf("temp round trip: %+v", got)
 	}
-	duty := back.Series("duty")
-	if duty == nil || duty.Len() != 5 {
-		t.Fatalf("duty round trip (sparse column): %+v", duty)
+	if got.Points[3].V != 43 || got.Points[3].T != sec(0.75) {
+		t.Errorf("sample 3: %+v", got.Points[3])
+	}
+	got = findSeries(back, "duty")
+	if got == nil || got.Len() != 5 {
+		t.Fatalf("duty round trip (sparse column): %+v", got)
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"notheader,a\n1,2\n",
-		"time_s\n",
-		"time_s,a\nx,1\n",
-		"time_s,a\n1,notnum\n",
-		"time_s,a\n1,2,3\n",
+// TestCSVRoundTripSparse round-trips series that share no timestamps,
+// so every row has empty cells; ReadCSV must skip them without
+// inventing samples, and order/values must survive exactly.
+func TestCSVRoundTripSparse(t *testing.T) {
+	zeta := &Series{Name: "zeta", Points: []Point{{1 * time.Second, -3.25}, {3 * time.Second, 101.5}}}
+	alpha := &Series{Name: "alpha", Points: []Point{{2 * time.Second, 0}, {4 * time.Second, 42.0625}}}
+	var buf bytes.Buffer
+	// Deliberately pass "zeta" first: column order is argument order,
+	// not alphabetical, and must survive the round trip.
+	if err := WriteCSV(&buf, zeta, alpha); err != nil {
+		t.Fatal(err)
 	}
-	for _, body := range cases {
-		if _, err := ReadCSV(strings.NewReader(body)); err == nil {
-			t.Errorf("malformed CSV accepted: %q", body)
+	// Every data row must contain exactly one empty cell (the series
+	// that has no sample at that timestamp).
+	for i, row := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		empties := 0
+		for _, cell := range strings.Split(row, ",") {
+			if cell == "" {
+				empties++
+			}
+		}
+		if empties != 1 {
+			t.Errorf("row %d %q has %d empty cells, want 1", i, row, empties)
+		}
+	}
+	back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || back[0].Name != "zeta" || back[1].Name != "alpha" {
+		t.Fatalf("series after round trip = %+v, want zeta then alpha", back)
+	}
+	for i, want := range []*Series{zeta, alpha} {
+		s := back[i]
+		if s.Len() != want.Len() {
+			t.Fatalf("%s: %d points after round trip, want %d", s.Name, s.Len(), want.Len())
+		}
+		for j, p := range s.Points {
+			if p.T != want.Points[j].T || math.Abs(p.V-want.Points[j].V) > 1e-9 {
+				t.Errorf("%s[%d] = %+v, want %+v", s.Name, j, p, want.Points[j])
+			}
 		}
 	}
 }
 
+func TestReadCSVErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		body string
+		want error // nil: any error
+	}{
+		{"empty", "", nil},
+		{"bad header", "notheader,a\n1,2\n", nil},
+		{"no series", "time_s\n", nil},
+		{"bad timestamp", "time_s,a\nx,1\n", ErrBadTimestamp},
+		{"bad value", "time_s,a\n1,notnum\n", nil},
+		{"ragged row", "time_s,a\n1,2,3\n", nil},
+		{"duplicate column", "time_s,a,a\n1,1,2\n", ErrDuplicateColumn},
+		{"empty column name", "time_s,a,\n1,1,2\n", ErrEmptyColumn},
+		{"NaN timestamp", "time_s,a\nNaN,1\n", ErrBadTimestamp},
+		{"infinite timestamp", "time_s,a\n+Inf,1\n", ErrBadTimestamp},
+		{"timestamp beyond Duration", "time_s,a\n1e10,1\n", ErrBadTimestamp},
+		{"repeated time row", "time_s,a\n1,1\n1,2\n", ErrTimeOrder},
+		{"decreasing time row", "time_s,a\n2,1\n1,2\n", ErrTimeOrder},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadCSV(strings.NewReader(c.body))
+			if err == nil {
+				t.Fatalf("malformed CSV accepted: %q", c.body)
+			}
+			if c.want != nil && !errors.Is(err, c.want) {
+				t.Fatalf("error %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
-	r := NewRecorder()
-	r.Record("a", 0, 1)
-	r.Record("b", 0, 2)
-	r.Record("a", sec(1), 3)
+	a := &Series{Name: "a", Points: []Point{{0, 1}, {sec(1), 3}}}
+	b := &Series{Name: "b", Points: []Point{{0, 2}}}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, a, b); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines:\n%s", len(lines), out)
+	want := "time_s,a,b\n0.000,1.0000,2.0000\n1.000,3.0000,\n"
+	if out != want {
+		t.Fatalf("CSV =\n%s\nwant\n%s", out, want)
 	}
-	if lines[0] != "time_s,a,b" {
-		t.Errorf("header = %q", lines[0])
+}
+
+// TestWriteCSVErrors: WriteCSV refuses, before writing a byte, two
+// distinct timestamps that its millisecond time column would print as
+// one row (ReadCSV would refuse that row), and a time ReadCSV could not
+// parse back.
+func TestWriteCSVErrors(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name   string
+		series []*Series
+		want   error
+	}{
+		{"sub-millisecond apart", []*Series{{Name: "a", Points: []Point{{ms, 1}, {ms + 400*time.Microsecond, 2}}}}, ErrTimeCollision},
+		{"across series", []*Series{{Name: "a", Points: []Point{{ms, 1}}}, {Name: "b", Points: []Point{{ms + 1, 2}}}}, ErrTimeCollision},
+		{"negative zero row", []*Series{{Name: "a", Points: []Point{{-100 * time.Microsecond, 1}, {0, 2}}}}, ErrTimeCollision},
+		{"beyond ReadCSV range", []*Series{{Name: "a", Points: []Point{{math.MaxInt64, 1}}}}, ErrBadTimestamp},
 	}
-	if !strings.HasPrefix(lines[1], "0.000,1.0000,2.0000") {
-		t.Errorf("row 0 = %q", lines[1])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var sb strings.Builder
+			err := WriteCSV(&sb, c.series...)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("error %v, want %v", err, c.want)
+			}
+			if sb.Len() != 0 {
+				t.Fatalf("wrote %q before refusing", sb.String())
+			}
+		})
 	}
-	if !strings.HasPrefix(lines[2], "1.000,3.0000,") || !strings.HasSuffix(lines[2], ",") {
-		t.Errorf("row 1 = %q (missing b value should be empty)", lines[2])
-	}
+}
+
+// FuzzReadCSV throws arbitrary text at the CSV reader: it must never
+// panic, and whatever it accepts must be a file WriteCSV can emit
+// again without merging or dropping a sample — non-empty, unique
+// series names and strictly increasing timestamps in every series.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("time_s,a,b\n0.000,1.0000,2.0000\n1.000,3.0000,\n")
+	f.Add("time_s,zeta,alpha\n1.000,-3.2500,\n2.000,,0.0000\n")
+	f.Add("time_s,a,a\n1,1,2\n")
+	f.Add("time_s,a,\n1,1,2\n")
+	f.Add("time_s,a\nNaN,1\n")
+	f.Add("time_s,a\n1,1\n1,2\n")
+	f.Add("time_s,a\n-1e300,1\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, body string) {
+		all, err := ReadCSV(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		names := make(map[string]bool, len(all))
+		for _, s := range all {
+			if s.Name == "" {
+				t.Fatalf("accepted an empty series name in %q", body)
+			}
+			if names[s.Name] {
+				t.Fatalf("accepted duplicate series %q in %q", s.Name, body)
+			}
+			names[s.Name] = true
+			for i := 1; i < len(s.Points); i++ {
+				if s.Points[i].T <= s.Points[i-1].T {
+					t.Fatalf("series %q: timestamp %v after %v in %q",
+						s.Name, s.Points[i].T, s.Points[i-1].T, body)
+				}
+			}
+		}
+	})
 }

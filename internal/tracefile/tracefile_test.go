@@ -174,26 +174,6 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-func TestReadRecorder(t *testing.T) {
-	img := writeImage(t, nil, 50)
-	r, err := NewBytesReader(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := r.ReadRecorder(Window{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := rec.Names()
-	if len(names) != 3 || names[0] != "n0_temp" {
-		t.Fatalf("Names = %v", names)
-	}
-	s := rec.Series("n0_freq")
-	if s.Len() != 50 || s.Last() != 2.4 {
-		t.Fatalf("n0_freq: len %d last %v", s.Len(), s.Last())
-	}
-}
-
 func TestOutOfOrderTimestamps(t *testing.T) {
 	// Events and samples may go backwards in time (chaos replays splice
 	// streams); the zigzag deltas must survive it.
